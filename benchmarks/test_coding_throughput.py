@@ -13,6 +13,13 @@ seeding the performance trajectory:
 * **table2** shape — the simulation default (m=40, γ=1.5, 256-byte
   packets).
 
+Next to those matmul rows it records **setup** rows per backend:
+``setup_seconds`` is one cold codec setup, i.e. constructing a
+systematic codec at (m, n=⌈1.5·m⌉) with an empty generator cache plus
+one decode inverse for a pattern that lost the first half of the
+clear text, at m ∈ {16, 64, 128, 170}.  The matmul rows reuse a warm
+codec, so only the setup rows show what a page's first fetch pays.
+
 It also times a small Experiment #1 sweep serially and with two
 workers, recording wall-clock for the parallel-sweep trajectory (no
 speedup assertion: CI runners may be single-core).
@@ -22,6 +29,7 @@ raises the repetition counts for stabler numbers.
 """
 
 import json
+import math
 import os
 import pathlib
 import platform
@@ -31,7 +39,8 @@ import time
 from conftest import emit
 
 from repro.coding.backend import available_backends, get_backend
-from repro.coding.rs import RabinDispersal, SystematicRSCodec
+from repro.coding import rs as rs_module
+from repro.coding.rs import MAX_COOKED, RabinDispersal, SystematicRSCodec
 from repro.figures import format_table
 from repro.simulation.experiments import experiment1
 from repro.simulation.parameters import Parameters
@@ -57,6 +66,9 @@ SHAPES = (
     ("systematic_m16_n24_4k", SystematicRSCodec, 16, 24, 4096, tuple(range(8, 24))),
     ("table2_m40_n60_256", SystematicRSCodec, 40, 60, 256, tuple(range(20, 60))),
 )
+
+#: Code lengths of the setup rows.
+SETUP_M = (16, 64, 128, 170)
 
 
 def _random_packets(m, size, seed=20260806):
@@ -176,6 +188,28 @@ def _bench_backend(backend_name, min_seconds, min_reps):
     return shapes
 
 
+def _bench_setup(backend_name, min_seconds, min_reps):
+    """Cold codec setup seconds per m: construction plus one decode inverse."""
+    rows = {}
+    for m in SETUP_M:
+        n = min(MAX_COOKED, math.ceil(1.5 * m))
+        # The first half of the clear text is lost, so the inverse
+        # needs the generator's redundancy rows.
+        chosen = list(range(m // 2, m // 2 + m))
+
+        def setup():
+            rs_module._GENERATORS.clear()
+            codec = SystematicRSCodec(m, n, backend=backend_name)
+            codec._decode_rows(chosen)
+
+        rows[f"setup_m{m}_n{n}"] = {
+            "m": m,
+            "n": n,
+            "setup_seconds": _measure(setup, min_seconds, min_reps),
+        }
+    return rows
+
+
 def _sweep_walltime():
     """Wall-clock of a small Experiment #1 sweep, serial and 2-way."""
     params = Parameters(
@@ -215,6 +249,7 @@ def test_coding_throughput():
     backends = {}
     for name in available_backends():
         backends[name] = _bench_backend(name, min_seconds, min_reps)
+        backends[name].update(_bench_setup(name, min_seconds, min_reps))
 
     # Headline ratio: combined dense encode+decode time, baseline/fused.
     dense_base = backends["baseline"]["dense_m16_n24_4k"]
@@ -264,9 +299,13 @@ def test_coding_throughput():
     rows = []
     for name, shapes in sorted(backends.items()):
         for key, stats in shapes.items():
-            rows.append(
-                (name, key, stats["encode_mb_per_s"], stats["decode_mb_per_s"])
-            )
+            if "setup_seconds" in stats:
+                setup_ms = f"{stats['setup_seconds'] * 1e3:.1f} ms setup"
+                rows.append((name, key, setup_ms, ""))
+            else:
+                rows.append(
+                    (name, key, stats["encode_mb_per_s"], stats["decode_mb_per_s"])
+                )
     rows.append(("fused/baseline (dense)", f"{fused_speedup:.2f}x", "", ""))
     if numpy_available:
         engine = "native" if numpy_native else "fallback"

@@ -57,7 +57,7 @@ import os
 import threading
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.coding.gf256 import FIELD_SIZE, _mul_table, gf_mul_bytes
+from repro.coding.gf256 import FIELD_SIZE, _mul_table, gf_mul_bytes, gf_mul_xor_bytes
 from repro.obs.runtime import OBS
 from repro.util.bitops import xor_bytes
 
@@ -277,14 +277,7 @@ class FusedBackend(CodingBackend):
         return gf_mul_bytes(scalar, _as_bytes(data))
 
     def mul_xor(self, acc: BytesLike, scalar: int, data: BytesLike) -> bytes:
-        if scalar == 0:
-            return _as_bytes(acc)
-        if scalar != 1:
-            data = _as_bytes(data).translate(_mul_table(scalar))
-        size = len(acc)
-        return (
-            int.from_bytes(acc, "little") ^ int.from_bytes(data, "little")
-        ).to_bytes(size, "little")
+        return gf_mul_xor_bytes(acc, scalar, data)
 
 
 # -- numpy block kernel ------------------------------------------------------
@@ -309,6 +302,8 @@ if _np is not None:
     _M01 = _np.uint64(0x0101010101010101)
     _M0F = _np.uint64(0x0F0F0F0F0F0F0F0F)
     _X1D = _np.uint64(0x1D)
+else:  # pragma: no cover - depends on environment
+    _MUL_MATRIX = None
 
 #: Sentinel distinguishing "native kernel not yet probed" from
 #: "probed and unavailable".

@@ -13,7 +13,7 @@ at import, so they cost two lookups and an addition.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 #: The irreducible polynomial defining the field (x^8+x^4+x^3+x^2+1).
 PRIMITIVE_POLY = 0x11D
@@ -42,6 +42,10 @@ def _build_tables() -> tuple:
 
 
 _EXP, _LOG = _build_tables()
+
+#: The powers of the generator repeated 256 times, so that the powers
+#: of any element are one strided slice (see :func:`gf_powers`).
+_EXP_CYCLE = bytes(_EXP[:ORDER]) * FIELD_SIZE
 
 
 def gf_add(a: int, b: int) -> int:
@@ -89,6 +93,14 @@ def gf_pow(a: int, exponent: int) -> int:
     return _EXP[power]
 
 
+def gf_powers(a: int, count: int) -> bytes:
+    """``a^0, a^1, …, a^(count-1)`` as bytes, for nonzero *a* and count ≤ 256."""
+    step = _LOG[a]
+    if step == 0:
+        return b"\x01" * count
+    return _EXP_CYCLE[: step * count : step]
+
+
 def gf_dot(row: Sequence[int], column: Sequence[int]) -> int:
     """Inner product of two GF(2^8) vectors."""
     if len(row) != len(column):
@@ -98,14 +110,6 @@ def gf_dot(row: Sequence[int], column: Sequence[int]) -> int:
         if a and b:
             total ^= _EXP[_LOG[a] + _LOG[b]]
     return total
-
-
-def gf_mul_row(scalar: int, row: Sequence[int]) -> List[int]:
-    """Scale a GF(2^8) vector by *scalar*."""
-    if scalar == 0:
-        return [0] * len(row)
-    log_scalar = _LOG[scalar]
-    return [0 if v == 0 else _EXP[log_scalar + _LOG[v]] for v in row]
 
 
 _MUL_TABLES: dict = {}
@@ -130,3 +134,20 @@ def gf_mul_bytes(scalar: int, data: bytes) -> bytes:
     if scalar == 1:
         return data
     return data.translate(_mul_table(scalar))
+
+
+def gf_mul_xor_bytes(acc: bytes, scalar: int, data: bytes) -> bytes:
+    """``acc ⊕ scalar·data`` over equal-length byte strings.
+
+    The row operation of every elimination in the package: one
+    ``bytes.translate`` through the multiply-by-*scalar* table plus one
+    wide-integer XOR, so its cost is a handful of C calls per row
+    whatever the row length.
+    """
+    if scalar == 0:
+        return bytes(acc)
+    if scalar != 1:
+        data = bytes(data).translate(_mul_table(scalar))
+    return (
+        int.from_bytes(acc, "little") ^ int.from_bytes(data, "little")
+    ).to_bytes(len(acc), "little")

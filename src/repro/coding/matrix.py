@@ -1,16 +1,100 @@
-"""Dense matrices over GF(2^8) with Gaussian elimination.
+"""Dense matrices over GF(2^8) with Gauss–Jordan elimination.
 
-Small and deliberately simple: the erasure code works with matrices of
-at most a few hundred rows (the paper's M ranges over 10..100), so an
-O(n^3) pure-Python elimination is more than fast enough and keeps the
-implementation auditable.
+The erasure code inverts square matrices of order up to 255: one
+Vandermonde block per code length M when a generator is built, and
+one M-row generator submatrix per decode loss pattern.  Elimination
+therefore clears a whole pivot column per step instead of working one
+element at a time:
+
+* with numpy, the working matrix is one uint8 array; a step scales
+  the pivot row through the 256×256 product table and clears the
+  column with one gather-and-XOR over every row whose factor is
+  nonzero;
+* without numpy, rows are byte strings and every row update is one
+  ``bytes.translate`` plus one wide-integer XOR
+  (:func:`~repro.coding.gf256.gf_mul_xor_bytes`).
+
+Both paths produce identical matrices.  The element-by-element loop
+they replace lives on in the tests as the oracle.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
-from repro.coding.gf256 import gf_div, gf_dot, gf_inv, gf_mul, gf_pow
+from repro.coding.backend import _MUL_MATRIX
+from repro.coding.backend import _np as np
+from repro.coding.gf256 import gf_dot, gf_inv, gf_mul_bytes, gf_mul_xor_bytes, gf_powers
+
+
+def _eliminate_numpy(
+    rows: List[List[int]], pivot_columns: int, require_full: bool
+) -> Tuple[List[List[int]], int]:
+    """Reduced row echelon form of *rows* over their first columns."""
+    work = np.array(rows, dtype=np.uint8)
+    nrows = len(rows)
+    rank = 0
+    for col in range(pivot_columns):
+        candidates = np.flatnonzero(work[rank:, col])
+        if candidates.size == 0:
+            if require_full:
+                raise ValueError("matrix is singular")
+            continue
+        pivot = rank + int(candidates[0])
+        if pivot != rank:
+            work[[rank, pivot]] = work[[pivot, rank]]
+        lead = int(work[rank, col])
+        if lead != 1:
+            work[rank, col:] = _MUL_MATRIX[gf_inv(lead)][work[rank, col:]]
+        factors = work[:, col].copy()
+        factors[rank] = 0
+        targets = np.flatnonzero(factors)
+        if targets.size:
+            work[targets, col:] ^= _MUL_MATRIX[factors[targets]][:, work[rank, col:]]
+        rank += 1
+        if rank == nrows:
+            break
+    return work.tolist(), rank
+
+
+def _eliminate_bytes(
+    rows: List[List[int]], pivot_columns: int, require_full: bool
+) -> Tuple[List[List[int]], int]:
+    """:func:`_eliminate_numpy` on byte-string rows, without numpy."""
+    work = [bytes(row) for row in rows]
+    nrows = len(work)
+    rank = 0
+    for col in range(pivot_columns):
+        pivot = next((r for r in range(rank, nrows) if work[r][col]), None)
+        if pivot is None:
+            if require_full:
+                raise ValueError("matrix is singular")
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        pivot_row = work[rank]
+        if pivot_row[col] != 1:
+            pivot_row = work[rank] = gf_mul_bytes(gf_inv(pivot_row[col]), pivot_row)
+        for r in range(nrows):
+            factor = work[r][col]
+            if factor and r != rank:
+                work[r] = gf_mul_xor_bytes(work[r], factor, pivot_row)
+        rank += 1
+        if rank == nrows:
+            break
+    return [list(row) for row in work], rank
+
+
+def _eliminate(
+    rows: List[List[int]], pivot_columns: int, require_full: bool
+) -> Tuple[List[List[int]], int]:
+    """Gauss–Jordan over the first *pivot_columns* columns of *rows*.
+
+    Returns the reduced rows and the number of pivots found.  With
+    *require_full*, a column without a pivot raises ``ValueError``.
+    """
+    if np is not None:
+        return _eliminate_numpy(rows, pivot_columns, require_full)
+    return _eliminate_bytes(rows, pivot_columns, require_full)
 
 
 class GFMatrix:
@@ -37,6 +121,15 @@ class GFMatrix:
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def _trusted(cls, rows: List[List[int]]) -> "GFMatrix":
+        """Adopt *rows* (rectangular, in-field, owned) without checks."""
+        matrix = cls.__new__(cls)
+        matrix._rows = rows
+        matrix.nrows = len(rows)
+        matrix.ncols = len(rows[0])
+        return matrix
+
+    @classmethod
     def identity(cls, n: int) -> "GFMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -50,9 +143,9 @@ class GFMatrix:
         """
         if nrows > 255:
             raise ValueError("at most 255 distinct nonzero evaluation points exist")
-        return cls(
-            [[gf_pow(i + 1, j) for j in range(ncols)] for i in range(nrows)]
-        )
+        if nrows < 1 or ncols < 1:
+            raise ValueError("matrix must have at least one row and one column")
+        return cls._trusted([list(gf_powers(i + 1, ncols)) for i in range(nrows)])
 
     # -- access ----------------------------------------------------------------
 
@@ -64,7 +157,7 @@ class GFMatrix:
 
     def submatrix(self, row_indices: Sequence[int]) -> "GFMatrix":
         """New matrix from the given rows (used by the decoder)."""
-        return GFMatrix([self._rows[i] for i in row_indices])
+        return GFMatrix._trusted([list(self._rows[i]) for i in row_indices])
 
     def __getitem__(self, position) -> int:
         i, j = position
@@ -103,51 +196,16 @@ class GFMatrix:
         if self.nrows != self.ncols:
             raise ValueError("only square matrices have inverses")
         n = self.nrows
-        work = [list(row) + identity_row for row, identity_row in zip(
-            self._rows, GFMatrix.identity(n)._rows
-        )]
-        for col in range(n):
-            pivot_row = next(
-                (r for r in range(col, n) if work[r][col] != 0), None
-            )
-            if pivot_row is None:
-                raise ValueError("matrix is singular")
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            pivot = work[col][col]
-            inv_pivot = gf_inv(pivot)
-            work[col] = [gf_mul(inv_pivot, value) for value in work[col]]
-            for r in range(n):
-                if r != col and work[r][col] != 0:
-                    factor = work[r][col]
-                    work[r] = [
-                        value ^ gf_mul(factor, pivot_value)
-                        for value, pivot_value in zip(work[r], work[col])
-                    ]
-        return GFMatrix([row[n:] for row in work])
+        augmented = [
+            row + [0] * i + [1] + [0] * (n - 1 - i)
+            for i, row in enumerate(self._rows)
+        ]
+        reduced, _ = _eliminate(augmented, n, require_full=True)
+        return GFMatrix._trusted([row[n:] for row in reduced])
 
     def rank(self) -> int:
-        """Rank via forward elimination on a working copy."""
-        work = [list(row) for row in self._rows]
-        rank = 0
-        for col in range(self.ncols):
-            pivot_row = next(
-                (r for r in range(rank, self.nrows) if work[r][col] != 0), None
-            )
-            if pivot_row is None:
-                continue
-            work[rank], work[pivot_row] = work[pivot_row], work[rank]
-            pivot = work[rank][col]
-            for r in range(rank + 1, self.nrows):
-                if work[r][col] != 0:
-                    factor = gf_div(work[r][col], pivot)
-                    work[r] = [
-                        value ^ gf_mul(factor, pivot_value)
-                        for value, pivot_value in zip(work[r], work[rank])
-                    ]
-            rank += 1
-            if rank == self.nrows:
-                break
-        return rank
+        """Number of pivots in the reduced row echelon form."""
+        return _eliminate(self._rows, self.ncols, require_full=False)[1]
 
     def is_identity(self) -> bool:
         if self.nrows != self.ncols:

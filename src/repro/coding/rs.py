@@ -23,13 +23,20 @@ Both codecs guarantee the *any-M-of-N* reconstruction property, which
 is verified by construction (every M-row submatrix of a Vandermonde
 matrix with distinct nonzero evaluation points is invertible, and
 right-multiplying by a fixed invertible matrix preserves that).
+
+Generators are built once per code length M, not per (M, N): the
+generator for N cooked packets is the first N rows of the one for
+255, because every row of ``V · V_top⁻¹`` depends only on its own
+evaluation point.  Each full generator is built lazily — a
+systematic decode whose rows are all clear text never needs it —
+and cached process-wide as 255·M bytes.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
-from functools import lru_cache
-from typing import List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.coding.backend import CodingBackend, get_backend
 from repro.coding.matrix import GFMatrix
@@ -44,45 +51,78 @@ MAX_COOKED = 255  # GF(2^8) admits at most 255 distinct nonzero points
 #: limit (each M×M inverse at M=40 is ~1600 ints).
 DECODE_CACHE_MAX = 256
 
+#: Upper bound on cached full generators per process: one per
+#: (M, systematic), each 255·M bytes (≤ 64 KiB).
+GENERATOR_CACHE_MAX = 64
+
 
 class CodecError(Exception):
     """Raised on invalid codec configuration or failed reconstruction."""
 
 
-@lru_cache(maxsize=128)
-def _generator_matrix(m: int, n: int, systematic: bool) -> GFMatrix:
-    vandermonde = GFMatrix.vandermonde(n, m)
-    if not systematic:
-        return vandermonde
-    top = GFMatrix([vandermonde.row(i) for i in range(m)])
-    return vandermonde.multiply(top.inverse())
+class _LRUCache:
+    """Thread-safe LRU map with a fixed capacity."""
 
-
-class _DecodeMatrixCache:
-    """LRU cache of decode-matrix inverses, keyed by chosen indices."""
-
-    def __init__(self, capacity: int = DECODE_CACHE_MAX) -> None:
+    def __init__(self, capacity: int) -> None:
         check_positive_int(capacity, "capacity")
         self.capacity = capacity
-        self._entries: "OrderedDict[Tuple[int, ...], GFMatrix]" = OrderedDict()
+        self._entries: "OrderedDict[Any, Any]" = OrderedDict()
+        self._lock = threading.Lock()
 
-    def get(self, key: Tuple[int, ...]) -> Optional[GFMatrix]:
-        inverse = self._entries.get(key)
-        if inverse is not None:
+    def get(self, key: Any) -> Any:
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+            return value
+
+    def put(self, key: Any, value: Any) -> None:
+        with self._lock:
+            self._entries[key] = value
             self._entries.move_to_end(key)
-        return inverse
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
 
-    def put(self, key: Tuple[int, ...], inverse: GFMatrix) -> None:
-        self._entries[key] = inverse
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, key: Tuple[int, ...]) -> bool:
+    def __contains__(self, key: Any) -> bool:
         return key in self._entries
+
+
+_GENERATORS = _LRUCache(GENERATOR_CACHE_MAX)
+
+
+def _build_generator(m: int, systematic: bool, backend: CodingBackend) -> bytes:
+    """G(m, 255) row-major: 255·m bytes, row *i* at ``[i·m, (i+1)·m)``.
+
+    Rabin's generator is the Vandermonde matrix V(255, m) itself.  The
+    systematic one is ``V · V_top⁻¹`` (V_top: the top m×m block), whose
+    first m rows are the identity; the other 255−m rows come from one
+    backend ``matmul`` with the inverse's rows as m-byte packets.
+    """
+    vandermonde = GFMatrix.vandermonde(MAX_COOKED, m).rows()
+    if not systematic:
+        return b"".join(bytes(row) for row in vandermonde)
+    inverse = GFMatrix._trusted(vandermonde[:m]).inverse().rows()
+    identity = bytearray(m * m)
+    identity[:: m + 1] = b"\x01" * m
+    redundancy = backend.matmul(vandermonde[m:], [bytes(row) for row in inverse], m)
+    return bytes(identity) + b"".join(redundancy)
+
+
+def _full_generator(m: int, systematic: bool, backend: CodingBackend) -> bytes:
+    """The cached G(m, 255); G(m, n) is its first n rows for every n."""
+    key = (m, systematic)
+    generator = _GENERATORS.get(key)
+    if generator is None:
+        generator = _build_generator(m, systematic, backend)
+        _GENERATORS.put(key, generator)
+    return generator
 
 
 class _VandermondeCodec:
@@ -107,21 +147,39 @@ class _VandermondeCodec:
         self.m = m
         self.n = n
         self.backend = get_backend(backend)
-        self.generator = _generator_matrix(m, n, self.systematic)
-        self._decode_cache = _DecodeMatrixCache()
+        self._decode_cache = _LRUCache(DECODE_CACHE_MAX)
         self._encode_rows: Optional[List[List[int]]] = None
+
+    @property
+    def generator(self) -> bytes:
+        """G(m, n) row-major: n·m bytes, row *i* at ``[i·m, (i+1)·m)``."""
+        return _full_generator(self.m, self.systematic, self.backend)[: self.n * self.m]
+
+    def generator_row(self, index: int) -> bytes:
+        """Row *index* of G(m, n) as m bytes.
+
+        The full generator is built on first need only: a systematic
+        clear-text row is a unit vector and needs none.
+        """
+        m = self.m
+        if self.systematic and index < m:
+            row = bytearray(m)
+            row[index] = 1
+            return bytes(row)
+        generator = _full_generator(m, self.systematic, self.backend)
+        return generator[index * m : (index + 1) * m]
 
     def _encode_matrix(self) -> List[List[int]]:
         """The generator rows the encoder multiplies by, fetched once.
 
         Systematic codecs skip the identity prefix (those cooked
         packets are the raw packets verbatim); caching the row lists
-        keeps repeated encodes off the per-row matrix accessors.
+        keeps repeated encodes off the generator slicing.
         """
         if self._encode_rows is None:
             start = self.m if self.systematic else 0
             self._encode_rows = [
-                self.generator.row(i) for i in range(start, self.n)
+                list(self.generator_row(i)) for i in range(start, self.n)
             ]
         return self._encode_rows
 
@@ -145,8 +203,7 @@ class _VandermondeCodec:
             if self.systematic:
                 # Clear-text fast path: the first M cooked packets are
                 # the raw packets verbatim; only the redundancy rows
-                # go through the kernel (no dead generator.row(i)
-                # fetch for the identity prefix).
+                # go through the kernel.
                 cooked = [bytes(packet) for packet in raw_packets]
                 if rows:
                     cooked.extend(self.backend.matmul(rows, raw_packets, size))
@@ -185,12 +242,13 @@ class _VandermondeCodec:
     def _decode_rows(self, chosen: List[int]) -> Tuple[List[List[int]], bool]:
         """The inverse-matrix rows for *chosen*, through the LRU cache."""
         key = tuple(chosen)
-        inverse = self._decode_cache.get(key)
-        cached = inverse is not None
-        if inverse is None:
-            inverse = self.generator.submatrix(chosen).inverse()
-            self._decode_cache.put(key, inverse)
-        return [inverse.row(i) for i in range(self.m)], cached
+        rows = self._decode_cache.get(key)
+        cached = rows is not None
+        if rows is None:
+            submatrix = GFMatrix._trusted([list(self.generator_row(i)) for i in chosen])
+            rows = submatrix.inverse().rows()
+            self._decode_cache.put(key, rows)
+        return rows, cached
 
     def _count_decode(self, cached: bool) -> None:
         OBS.metrics.counter("rs.decodes").labels(

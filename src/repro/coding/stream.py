@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.coding.gf256 import gf_inv, gf_mul
+from repro.coding.gf256 import gf_inv, gf_mul_bytes, gf_mul_xor_bytes
 from repro.coding.rs import CodecError, _VandermondeCodec
 
 
@@ -45,7 +45,7 @@ class IncrementalDecoder:
         self._backend = codec.backend
         self._m = codec.m
         # One slot per pivot column: (reduced_row, reduced_payload).
-        self._pivot_rows: List[Optional[List[int]]] = [None] * self._m
+        self._pivot_rows: List[Optional[bytes]] = [None] * self._m
         self._pivot_payloads: List[Optional[bytes]] = [None] * self._m
         self._rank = 0
         self._seen: set = set()
@@ -88,7 +88,7 @@ class IncrementalDecoder:
         if self.complete:
             return False
 
-        row = self.codec.generator.row(sequence)
+        row = self.codec.generator_row(sequence)
         # No defensive copy: backends accept any bytes-like payload
         # (memoryviews included), and the first transformation below
         # already produces fresh bytes, so the arriving buffer is
@@ -96,25 +96,21 @@ class IncrementalDecoder:
         data = payload
         # Eliminate against existing pivots.
         for column in range(self._m):
-            if row[column] == 0:
+            factor = row[column]
+            if factor == 0:
                 continue
             pivot = self._pivot_rows[column]
             if pivot is None:
                 # New pivot: normalize so row[column] == 1.
-                inverse = gf_inv(row[column])
-                row = [gf_mul(inverse, value) for value in row]
+                inverse = gf_inv(factor)
+                self._pivot_rows[column] = gf_mul_bytes(inverse, row)
                 data = self._backend.scale(inverse, data)
-                self._pivot_rows[column] = row
                 self._pivot_payloads[column] = (
                     data if isinstance(data, bytes) else bytes(data)
                 )
                 self._rank += 1
                 return True
-            factor = row[column]
-            row = [
-                value ^ gf_mul(factor, pivot_value)
-                for value, pivot_value in zip(row, pivot)
-            ]
+            row = gf_mul_xor_bytes(row, factor, pivot)
             data = self._backend.mul_xor(
                 data, factor, self._pivot_payloads[column]
             )
@@ -134,16 +130,13 @@ class IncrementalDecoder:
         # Rows are unit-diagonal upper-triangular up to permutation;
         # eliminate the above-diagonal coefficients column by column,
         # from the last pivot back to the first.
-        rows = [list(r) for r in self._pivot_rows]        # type: ignore[arg-type]
+        rows: List[bytes] = list(self._pivot_rows)  # type: ignore[arg-type]
         payloads = [bytes(p) for p in self._pivot_payloads]  # type: ignore[arg-type]
         for column in range(self._m - 1, -1, -1):
             for upper in range(column):
                 factor = rows[upper][column]
                 if factor:
-                    rows[upper] = [
-                        value ^ gf_mul(factor, pivot_value)
-                        for value, pivot_value in zip(rows[upper], rows[column])
-                    ]
+                    rows[upper] = gf_mul_xor_bytes(rows[upper], factor, rows[column])
                     payloads[upper] = self._backend.mul_xor(
                         payloads[upper], factor, payloads[column]
                     )

@@ -48,6 +48,7 @@ from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Set, Tu
 from repro.analysis.ewma import AdaptiveRedundancyController
 
 from repro.broadcast.scheduler import CarouselScheduler
+from repro.coding.rs import CodecError
 from repro.net.wire import (
     MSG_DONE,
     MSG_ERROR,
@@ -770,6 +771,20 @@ class NetServer:
             self.stats["errors"] += 1
             state.flight.record("bad_request", detail=str(exc))
             return "bad_request"
+        except CodecError as exc:
+            # The document parsed but cannot be cooked, e.g. it needs
+            # more raw packets than GF(2^8) has codewords.  Refuse it
+            # with a typed error rather than dropping the connection,
+            # which the client would take for a weak link and redial.
+            await sender.send(
+                encode_json(
+                    MSG_ERROR, {"message": f"cannot serve {document_id!r}: {exc}"}
+                )
+            )
+            await sender.flush()
+            self.stats["errors"] += 1
+            state.flight.record("prep_error", detail=str(exc))
+            return "prep_error"
         if prepared is None:
             await sender.send(
                 encode_json(MSG_ERROR, {"message": f"unknown document {document_id!r}"})

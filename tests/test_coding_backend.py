@@ -30,7 +30,7 @@ from repro.coding.rs import (
     DECODE_CACHE_MAX,
     RabinDispersal,
     SystematicRSCodec,
-    _DecodeMatrixCache,
+    _LRUCache,
 )
 
 BASELINE = get_backend("baseline")
@@ -376,7 +376,7 @@ class TestSelection:
 
 class TestDecodeCache:
     def test_lru_capacity_and_eviction_order(self):
-        cache = _DecodeMatrixCache(capacity=3)
+        cache = _LRUCache(capacity=3)
         for key in ((1,), (2,), (3,)):
             cache.put(key, object())
         cache.get((1,))  # refresh: (2,) is now the oldest

@@ -9,10 +9,13 @@ a hang.  Marked ``net``.
 """
 
 import asyncio
+import gc
+import pathlib
 
 import pytest
 
 import repro.obs as obs
+from repro.data import draft_paper_path
 from repro.net import NetClient, NetServer, WireError, run_loadgen
 from repro.prep import PrepRequest, PreparationService
 
@@ -133,6 +136,42 @@ class TestPerRequestParameters:
             await assert_no_leaked_tasks()
 
         asyncio.run(go())
+
+
+class TestUncookablePage:
+    def test_oversized_page_is_refused_once(self, telemetry):
+        """A page with more raw packets than GF(2^8) allows is refused
+        with a typed error on the first connection: no redial, no
+        re-cook, and no exception left for the loop handler."""
+        service, pipeline = make_service()
+        service.add_document("big", pathlib.Path(draft_paper_path()).read_text())
+
+        async def go():
+            loop_errors = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: loop_errors.append(context)
+            )
+            async with NetServer(service) as server:
+                # 16-byte packets put the paper at M = 519 > 255.
+                client = NetClient(
+                    server.host, server.port, request=PrepRequest(packet_size=16)
+                )
+                with pytest.raises(WireError, match="cannot serve 'big'"):
+                    await client.fetch("big")
+                stats = dict(server.stats)
+            gc.collect()  # surface any never-retrieved task exception
+            await asyncio.sleep(0)
+            await assert_no_leaked_tasks()
+            return stats, loop_errors
+
+        stats, loop_errors = asyncio.run(go())
+        assert stats["connections"] == 1
+        assert stats["errors"] == 1
+        assert service.stats["cooked_misses"] == 1
+        assert pipeline.runs == 1
+        assert loop_errors == []
+        outcomes = obs.OBS.metrics.get("net.connections")
+        assert outcomes.labels(outcome="prep_error").value == 1
 
 
 class TestCrossWorkerParity:
