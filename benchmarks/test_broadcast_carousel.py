@@ -33,9 +33,9 @@ from repro.broadcast import CarouselScheduler
 from repro.coding.packets import Packetizer
 from repro.net import DocumentStore, NetServer
 from repro.net.loadgen import run_loadgen
+from repro.prep.prepare import DocumentSender
 from repro.prep.request import DeliveryMode, PrepRequest
 from repro.simulation.broadcast import run_broadcast_experiment
-from repro.transport.sender import DocumentSender
 
 pytestmark = pytest.mark.net
 

@@ -14,17 +14,28 @@ import random
 from conftest import emit
 
 from repro.analysis.ewma import AdaptiveRedundancyController
+from repro.channel import GilbertElliottModel
 from repro.coding.packets import Packetizer
 from repro.figures import format_table
+from repro.prep.prepare import DocumentSender
+from repro.prep.request import TransferSettings
 from repro.transport.cache import PacketCache
-from repro.transport.channel import WirelessChannel
-from repro.transport.gilbert import matched_to_alpha
-from repro.transport.sender import DocumentSender
+from repro.transport.channel import ModelChannel, WirelessChannel
 from repro.transport.session import transfer_document
 
 ALPHA = 0.3
 DOCUMENTS = 30
 DOCUMENT_BYTES = 10240
+
+
+def _bursty(burst_length):
+    """Channel factory: a Gilbert–Elliott link matched to ``ALPHA``."""
+
+    def factory(rng):
+        model = GilbertElliottModel.matched_to_alpha(ALPHA, burst_length, rng=rng)
+        return ModelChannel(model, rng=rng)
+
+    return factory
 
 
 def _run(channel_factory, gamma, seed):
@@ -36,7 +47,10 @@ def _run(channel_factory, gamma, seed):
     stalled_rounds = 0
     for _ in range(DOCUMENTS):
         result = transfer_document(
-            prepared, channel, cache=PacketCache(), max_rounds=60
+            prepared,
+            channel,
+            cache=PacketCache(),
+            settings=TransferSettings(max_rounds=60),
         )
         total_time += result.response_time
         stalled_rounds += result.rounds - 1
@@ -46,8 +60,8 @@ def _run(channel_factory, gamma, seed):
 def test_burstiness_ablation(benchmark):
     def run_all():
         iid = lambda rng: WirelessChannel(alpha=ALPHA, rng=rng)
-        burst5 = lambda rng: matched_to_alpha(ALPHA, burst_length=5.0, rng=rng)
-        burst12 = lambda rng: matched_to_alpha(ALPHA, burst_length=12.0, rng=rng)
+        burst5 = _bursty(5.0)
+        burst12 = _bursty(12.0)
         rows = []
         for name, factory in (("iid", iid), ("burst~5", burst5), ("burst~12", burst12)):
             mean_rt, stalls = _run(factory, gamma=1.7, seed=9)
@@ -98,7 +112,10 @@ def _run_gamma_policy(channel_factory, seed, controller=None, fixed_gamma=1.7):
         before_sent = channel.frames_sent
         before_bad = channel.frames_corrupted + channel.frames_lost
         result = transfer_document(
-            prepared, channel, cache=PacketCache(), max_rounds=60
+            prepared,
+            channel,
+            cache=PacketCache(),
+            settings=TransferSettings(max_rounds=60),
         )
         successes += int(result.success)
         redundant_packets += prepared.n - prepared.m
@@ -123,7 +140,7 @@ def test_adaptive_gamma_beats_fixed_on_clean_channels(benchmark):
     """
     CLEAN_ALPHA = 0.02
     clean = lambda rng: WirelessChannel(alpha=CLEAN_ALPHA, rng=rng)
-    bursty = lambda rng: matched_to_alpha(ALPHA, burst_length=5.0, rng=rng)
+    bursty = _bursty(5.0)
 
     def run_all():
         rows = []

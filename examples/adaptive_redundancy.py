@@ -20,8 +20,8 @@ import random
 
 from repro.analysis import AdaptiveRedundancyController
 from repro.coding import Packetizer
+from repro.prep import DocumentSender, TransferSettings
 from repro.transport import (
-    DocumentSender,
     PacketCache,
     WirelessChannel,
     transfer_document,
@@ -52,7 +52,10 @@ def run(adaptive: bool, seed: int = 5) -> tuple:
             prepared = sender.prepare_raw("doc", DOCUMENT)
             channel.reset_counters()
             result = transfer_document(
-                prepared, channel, cache=PacketCache(), max_rounds=50
+                prepared,
+                channel,
+                cache=PacketCache(),
+                settings=TransferSettings(max_rounds=50),
             )
             total_time += result.response_time
             total_frames += result.frames_sent

@@ -19,8 +19,8 @@ import random
 from repro.coding import Packetizer
 from repro.core import DocumentCluster, build_sc
 from repro.search import UserProfile
+from repro.prep import DocumentSender
 from repro.transport import (
-    DocumentSender,
     PacketCache,
     Prefetcher,
     WirelessChannel,

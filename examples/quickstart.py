@@ -26,7 +26,8 @@ from repro import (
 from repro.coding import Packetizer
 from repro.data import draft_paper_source
 from repro.text.keywords import KeywordExtractor
-from repro.transport import DocumentSender, PacketCache
+from repro.prep import DocumentSender
+from repro.transport import PacketCache
 from repro.xmlkit import parse_xml
 
 

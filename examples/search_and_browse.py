@@ -12,6 +12,7 @@ Run:  python examples/search_and_browse.py
 
 import random
 
+from repro.prep import PrepRequest
 from repro.prototype import (
     DatabaseGateway,
     DocumentTransmitterService,
@@ -109,8 +110,7 @@ def main() -> None:
     for hit in hits:
         result = browser.browse(
             hit.document_id,
-            query_text=query_text,
-            lod_name="paragraph",
+            request=PrepRequest(query=query_text, lod="paragraph"),
             relevance_threshold=0.4,
         )
         verdict = "early-stop" if result.terminated_early else "full download"

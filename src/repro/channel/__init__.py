@@ -10,8 +10,7 @@ one of the models defined here, so a seeded schedule means the same
 thing at every layer:
 
 * :class:`IIDModel` — independent per-frame drop/corrupt/disconnect
-  (the paper's i.i.d. α, draw-order byte-compatible with the
-  pre-refactor ``FaultPlan``);
+  (the paper's i.i.d. α, with a fixed draw order);
 * :class:`GilbertElliottModel` — two-state bursty corruption, with
   :meth:`~GilbertElliottModel.matched_to_alpha` for apples-to-apples
   stationary loss;
@@ -37,7 +36,7 @@ from repro.channel.model import (
     stationary_alpha,
     stationary_bad_probability,
 )
-from repro.channel.spec import legacy_chaos_spec, parse_model_spec
+from repro.channel.spec import parse_model_spec
 from repro.channel.trace import TraceModel, TraceSegment
 
 __all__ = [
@@ -52,7 +51,6 @@ __all__ = [
     "TraceModel",
     "TraceSegment",
     "RecordingModel",
-    "legacy_chaos_spec",
     "parse_model_spec",
     "stationary_alpha",
     "stationary_bad_probability",

@@ -17,8 +17,7 @@ layer consumes it — the cross-layer parity the chaos suite pins.
 Counter semantics are uniform: ``dropped`` counts frames lost outright
 (including those swallowed inside a disconnection window), ``corrupted``
 counts damaged frames, and ``disconnects`` counts severed-link events —
-a ``DISCONNECT`` verdict is *not* a drop (the pre-refactor ``FaultPlan``
-conflated the two; its compat shim reconstructs the old arithmetic).
+a ``DISCONNECT`` verdict is *not* a drop.
 """
 
 from __future__ import annotations
@@ -133,9 +132,8 @@ class IIDModel(ChannelModel):
     """Independent per-frame drop/corrupt/disconnect (the paper's α).
 
     Draw order is fixed — disconnect, then drop, then corrupt, each
-    drawn only when its probability is positive — byte-compatible with
-    the pre-refactor ``FaultPlan``, so existing seeded schedules and
-    the protocol golden fixtures replay bit-for-bit.
+    drawn only when its probability is positive — so seeded schedules
+    and the protocol golden fixtures replay bit-for-bit.
 
     Parameters
     ----------
@@ -239,9 +237,8 @@ def matched_transitions(
     Solves for ``(good_to_bad, bad_to_good)`` given the desired mean
     burst length (``1 / bad_to_good``) and the per-state corruption
     rates.  Requires ``good_alpha < alpha < bad_alpha``.  This is the
-    one matched-α implementation: both the transport channel's
-    ``matched_to_alpha`` and :meth:`GilbertElliottModel.matched_to_alpha`
-    call it.
+    one matched-α implementation, behind
+    :meth:`GilbertElliottModel.matched_to_alpha`.
     """
     _check_probability("alpha", alpha)
     if not good_alpha < alpha < bad_alpha:
@@ -267,10 +264,9 @@ class GilbertElliottModel(ChannelModel):
 
     Per frame: corrupt with ``good_alpha`` or ``bad_alpha`` depending
     on the state, then flip the state with ``good_to_bad`` /
-    ``bad_to_good`` — exactly two RNG draws per frame, in the same
-    order as the simulated
-    :class:`~repro.transport.gilbert.GilbertElliottChannel`, which
-    delegates its corruption process here.
+    ``bad_to_good`` — exactly two RNG draws per frame.  For a bursty
+    simulated link, hand the model to
+    :class:`~repro.transport.channel.ModelChannel`.
     """
 
     def __init__(

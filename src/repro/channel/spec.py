@@ -149,37 +149,6 @@ _BUILDERS: Dict[str, Callable[[str, Optional[random.Random]], ChannelModel]] = {
 }
 
 
-def legacy_chaos_spec(
-    *,
-    drop: float = 0.0,
-    corrupt: float = 0.0,
-    disconnect: float = 0.0,
-    outage: int = 0,
-) -> Optional[str]:
-    """Synthesize the ``iid:`` spec equivalent of the retired per-flag
-    chaos surface (``--chaos-drop`` / ``--chaos-corrupt`` /
-    ``--chaos-disconnect`` / ``--alpha``).
-
-    Returns ``None`` when every probability is zero (no chaos asked
-    for).  This is the one translation point: every deprecated flag
-    forwards through here and then down the ordinary
-    :func:`parse_model_spec` path, so legacy and spec-based invocations
-    build byte-identical seeded models.
-    """
-    parts = []
-    if drop:
-        parts.append(f"drop={drop:g}")
-    if corrupt:
-        parts.append(f"corrupt={corrupt:g}")
-    if disconnect:
-        parts.append(f"disconnect={disconnect:g}")
-    if outage:
-        parts.append(f"outage={outage:d}")
-    if not parts:
-        return None
-    return "iid:" + ",".join(parts)
-
-
 def parse_model_spec(
     spec: str, *, rng: Optional[random.Random] = None, seed: Optional[int] = None
 ) -> ChannelModel:

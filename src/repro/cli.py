@@ -17,13 +17,11 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-import warnings
 from pathlib import Path
 from typing import List, Optional
 
 from repro import obs
 from repro.analysis.planner import minimal_cooked_packets
-from repro.channel import legacy_chaos_spec
 from repro.core.information import annotate_sc
 from repro.core.lod import LOD
 from repro.core.multires import TransmissionSchedule
@@ -102,45 +100,12 @@ def cmd_plan(args) -> int:
     return 0
 
 
-def _resolve_chaos_model(args) -> Optional[str]:
-    """Fold the retired per-flag chaos surface into ``--chaos-model``.
-
-    The deprecated ``--chaos-drop`` / ``--chaos-corrupt`` /
-    ``--chaos-disconnect`` flags are translated by the one shared
-    :func:`repro.channel.legacy_chaos_spec` parser into the
-    ``iid:...`` spec they always meant, with a ``DeprecationWarning``
-    naming the replacement.  Both surfaces at once is an error (exit
-    2), matching the historical behaviour.
-    """
-    spec = getattr(args, "chaos_model", None)
-    legacy = legacy_chaos_spec(
-        drop=getattr(args, "chaos_drop", 0.0),
-        corrupt=getattr(args, "chaos_corrupt", 0.0),
-        disconnect=getattr(args, "chaos_disconnect", 0.0),
-    )
-    if spec and legacy:
-        print(
-            "error: give either --chaos-model or the deprecated "
-            "--chaos-drop/--chaos-corrupt/--chaos-disconnect flags, not both"
-        )
-        raise SystemExit(2)
-    if legacy:
-        warnings.warn(
-            "--chaos-drop/--chaos-corrupt/--chaos-disconnect are deprecated; "
-            f"use --chaos-model {legacy}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return legacy
-    return spec
-
-
 def cmd_transfer(args) -> int:
     """Simulate one fault-tolerant transfer of a document file."""
     from repro.coding.backend import get_backend
 
     tracing = bool(getattr(args, "trace", None))
-    chaos_model = _resolve_chaos_model(args)
+    chaos_model = args.chaos_model
     if tracing:
         obs.enable()
         obs.OBS.trace.emit(
@@ -567,10 +532,7 @@ def cmd_net_loadgen(args) -> int:
     from repro.net import ChaosProxy, run_loadgen, write_bench
 
     chaos_params = None
-    # One chaos surface: the deprecated per-flag probabilities forward
-    # through the shared legacy_chaos_spec parser into the same seeded
-    # model-spec path (byte-identical verdict schedules either way).
-    chaos_model = _resolve_chaos_model(args)
+    chaos_model = args.chaos_model
 
     async def _run():
         nonlocal chaos_params
@@ -830,12 +792,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "iid:drop=0.1,corrupt=0.2 | "
                              "gilbert:alpha=0.2,burst=5 | trace:FILE.json "
                              "(seeded by --seed)")
-    p_xfer.add_argument("--chaos-drop", type=float, default=0.0,
-                        help="deprecated: use --chaos-model iid:drop=P")
-    p_xfer.add_argument("--chaos-corrupt", type=float, default=0.0,
-                        help="deprecated: use --chaos-model iid:corrupt=P")
-    p_xfer.add_argument("--chaos-disconnect", type=float, default=0.0,
-                        help="deprecated: use --chaos-model iid:disconnect=P")
     p_xfer.add_argument(
         "--coding-backend",
         default=None,
@@ -976,18 +932,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_load.add_argument("--round-timeout", type=float,
                         default=DEFAULT_ROUND_TIMEOUT, metavar="SECONDS")
     p_load.add_argument("--max-reconnects", type=int, default=4)
-    p_load.add_argument("--chaos-drop", type=float, default=0.0,
-                        help="deprecated: use --chaos-model iid:drop=P")
-    p_load.add_argument("--chaos-corrupt", type=float, default=0.0,
-                        help="deprecated: use --chaos-model iid:corrupt=P")
-    p_load.add_argument("--chaos-disconnect", type=float, default=0.0,
-                        help="deprecated: use --chaos-model iid:disconnect=P")
     p_load.add_argument("--chaos-model", default=None, metavar="SPEC",
                         help="channel model for the proxy: "
                              "iid:drop=0.1,corrupt=0.2 | "
                              "gilbert:alpha=0.2,burst=5 | trace:FILE.json "
-                             "(seeded by --seed; excludes the deprecated "
-                             "--chaos-* probability flags)")
+                             "(seeded by --seed)")
     p_load.add_argument("--seed", type=int, default=0,
                         help="chaos channel-model seed")
     p_load.add_argument("--error-budget", type=float, default=0.05,

@@ -25,7 +25,7 @@ from repro.coding.rs import RabinDispersal, SystematicRSCodec
 from repro.obs.runtime import OBS
 from repro.obs.timing import timed
 from repro.util.bitops import chunk_bytes, pad_to_multiple
-from repro.util.validation import check_positive_int
+from repro.util.validation import check_positive_int, check_range
 
 #: Frame overhead in bytes: 2 (sequence number) + 2 (CRC-16).
 FRAME_OVERHEAD = 4
@@ -98,8 +98,7 @@ class Packetizer:
         backend: Optional[object] = None,
     ) -> None:
         check_positive_int(packet_size, "packet_size")
-        if redundancy_ratio < 1.0:
-            raise ValueError(f"redundancy_ratio must be >= 1, got {redundancy_ratio}")
+        check_range(redundancy_ratio, 1.0, 255.0, "redundancy_ratio")
         self.packet_size = packet_size
         self.redundancy_ratio = redundancy_ratio
         self.systematic = systematic

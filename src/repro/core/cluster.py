@@ -19,8 +19,8 @@ from collections import deque
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.structure import StructuralCharacteristic
+from repro.prep.prepare import DocumentSender
 from repro.transport.prefetch import PrefetchCandidate
-from repro.transport.sender import DocumentSender
 from repro.util.validation import check_fraction
 
 

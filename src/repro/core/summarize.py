@@ -20,11 +20,11 @@ from typing import NamedTuple, Optional
 from repro.coding.packets import Packetizer
 from repro.core.lod import LOD
 from repro.core.structure import StructuralCharacteristic
+from repro.prep.prepare import DocumentSender
 from repro.prep.request import TransferSettings
 from repro.text.tokens import lead_in_sentence
 from repro.transport.cache import PacketCache
 from repro.transport.channel import WirelessChannel
-from repro.transport.sender import DocumentSender
 from repro.transport.session import TransferResult, transfer_document
 
 

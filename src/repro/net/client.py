@@ -55,15 +55,8 @@ from repro.net.wire import (
 )
 from repro.obs.live import TraceContext
 from repro.obs.runtime import OBS
-from repro.prep.request import (
-    DeliveryMode,
-    PrepRequest,
-    TransferSettings,
-    legacy_value,
-    settings_from_legacy,
-)
+from repro.prep.request import DeliveryMode, PrepRequest, TransferSettings
 from repro.protocol import (
-    DEFAULT_MAX_ROUNDS,
     DEFAULT_ROUND_TIMEOUT,
     Decoded,
     EarlyStop,
@@ -118,10 +111,7 @@ class NetClient:
     settings:
         :class:`repro.prep.TransferSettings` carrying the protocol
         knobs (relevance threshold F, retransmission bound, round
-        timeout, reconnect budget).  The individual
-        ``relevance_threshold`` / ``max_rounds`` / ``round_timeout`` /
-        ``max_reconnects`` keywords remain as deprecated shims and
-        override the matching *settings* fields.
+        timeout, reconnect budget); defaults when ``None``.
     request:
         Default :class:`repro.prep.PrepRequest` sent to the server
         with every fetch (LOD, measure, query, packet size, γ,
@@ -138,23 +128,13 @@ class NetClient:
         port: int,
         *,
         cache: Optional[PacketCache] = None,
-        relevance_threshold: Optional[float] = None,
-        max_rounds: int = DEFAULT_MAX_ROUNDS,
-        round_timeout: float = DEFAULT_ROUND_TIMEOUT,
-        max_reconnects: int = 4,
         reconnect_delay: float = 0.05,
         backend: Optional[object] = None,
         settings: Optional[TransferSettings] = None,
         request: Optional[PrepRequest] = None,
     ) -> None:
-        settings = settings_from_legacy(
-            settings,
-            "NetClient",
-            relevance_threshold=legacy_value(relevance_threshold, None),
-            max_rounds=legacy_value(max_rounds, DEFAULT_MAX_ROUNDS),
-            round_timeout=legacy_value(round_timeout, DEFAULT_ROUND_TIMEOUT),
-            max_reconnects=legacy_value(max_reconnects, 4),
-        )
+        if settings is None:
+            settings = TransferSettings()
         self.host = host
         self.port = port
         self.settings = settings

@@ -52,7 +52,6 @@ from repro.coding.rs import CodecError
 from repro.net.wire import (
     MSG_DONE,
     MSG_ERROR,
-    MSG_FRAME,
     MSG_HELLO,
     MSG_MANIFEST,
     MSG_NEXT_ROUND,
@@ -62,7 +61,6 @@ from repro.net.wire import (
     WireError,
     decode_json,
     encode_json,
-    encode_message,
     read_expected,
 )
 from repro.obs.flight import DEFAULT_FLIGHT_EVENTS, FlightRecorder
@@ -85,7 +83,7 @@ from repro.protocol import DEFAULT_MAX_ROUNDS, DEFAULT_ROUND_TIMEOUT, TransferEn
 ABNORMAL_OUTCOMES = frozenset({"timeout", "client_gone", "cancelled", "error"})
 
 #: Outcomes folded into the SLO as successes: the client confirmed a
-#: verdict with ``DONE`` (``decoded`` / ``early_stop`` / legacy
+#: verdict with ``DONE`` (``decoded`` / ``early_stop`` / plain
 #: ``done``).
 SLO_OK_OUTCOMES = frozenset({"decoded", "early_stop", "done"})
 
@@ -833,7 +831,7 @@ class NetServer:
         if self.adaptive_gamma:
             controller = self._gamma_controller(state.transfer_id, prepared.m)
 
-        envelopes = self._wire_envelopes(prepared)
+        envelopes = prepared.wire_frames()
         while True:
             missing = [
                 sequence
@@ -1117,20 +1115,6 @@ class NetServer:
         except KeyError:
             # UnknownDocumentError (or any KeyError-style miss).
             return None
-
-    @staticmethod
-    def _wire_envelopes(prepared) -> Sequence[Union[bytes, memoryview]]:
-        """Complete MSG_FRAME wire images for *prepared*, in sequence order.
-
-        Prefers the precomputed envelopes a :mod:`repro.prep` document
-        caches next to its cooked packets (zero serialization on this
-        path); any store object exposing only ``frames()`` gets the
-        legacy per-connection ``encode_message`` fallback.
-        """
-        wire_frames = getattr(prepared, "wire_frames", None)
-        if callable(wire_frames):
-            return wire_frames()
-        return [encode_message(MSG_FRAME, wire) for wire in prepared.frames()]
 
     @staticmethod
     def _valid_sequences(have: Iterable[object], n: int) -> Set[int]:

@@ -8,7 +8,7 @@ cooked packets ready for the §4.2 transfer protocol":
   request objects replacing per-module keyword sprawl;
 * :class:`~repro.prep.prepare.DocumentSender` /
   :class:`~repro.prep.prepare.PreparedDocument` — the schedule →
-  packets step (moved from ``repro.transport.sender``);
+  packets step;
 * :class:`~repro.prep.service.PreparationService` — lazy pipeline +
   annotate + schedule + cook behind SC-tier and cooked-tier byte-budget
   LRU caches with single-flight miss deduplication.
@@ -25,14 +25,7 @@ from typing import Optional, Union
 from repro.prep.cache import MISS, ByteBudgetLRU
 from repro.prep.diskstore import DiskCookedStore
 from repro.prep.prepare import DocumentSender, PreparedDocument
-from repro.prep.request import (
-    UNSET,
-    DeliveryMode,
-    PrepRequest,
-    TransferSettings,
-    request_from_legacy,
-    settings_from_legacy,
-)
+from repro.prep.request import DeliveryMode, PrepRequest, TransferSettings
 from repro.prep.service import (
     DEFAULT_COOKED_BUDGET,
     DEFAULT_SC_BUDGET,
@@ -53,13 +46,10 @@ __all__ = [
     "PrepRequest",
     "PreparedDocument",
     "TransferSettings",
-    "UNSET",
     "UnknownDocumentError",
     "content_digest",
     "default_service",
     "prepare",
-    "request_from_legacy",
-    "settings_from_legacy",
 ]
 
 _default_service: Optional[PreparationService] = None

@@ -1,12 +1,9 @@
 """Document preparation: schedule → cooked packets + content profile.
 
-Home of :class:`PreparedDocument` and :class:`DocumentSender`, moved
-here from ``repro.transport.sender`` so that every layer that cooks
-content — the simulated byte driver, the socket server, the prototype
-broker — depends on :mod:`repro.prep` rather than on the transport
-internals (``repro.transport.sender`` re-exports both names for
-compatibility).  The :class:`~repro.prep.service.PreparationService`
-builds on this module to make preparation lazy, shared, and metered.
+Home of :class:`PreparedDocument` and :class:`DocumentSender`: every
+layer that cooks content — the simulated byte driver, the socket
+server, the prototype broker — imports them from here.  The
+:class:`~repro.prep.service.PreparationService` builds on this module to make preparation lazy, shared, and metered.
 
 The sender combines the multi-resolution schedule (§3/§4.2) with the
 packetizer (§4.1): the scheduled byte stream is split into M raw

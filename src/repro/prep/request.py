@@ -15,26 +15,19 @@ Two dataclasses consolidate the sprawl:
   the §4.2 protocol: relevance threshold, retransmission bound, round
   timeout, reconnect budget.
 
-Old keyword signatures keep working everywhere through
-:func:`settings_from_legacy` / :func:`request_from_legacy`, which merge
-explicitly-passed legacy values into the new objects while emitting a
-:class:`DeprecationWarning`.
+Every API takes these objects as its one signature (``request=`` /
+``settings=``); there are no per-field keyword forms.
 """
 
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Optional, Tuple
 
 from repro.core.lod import LOD
 from repro.protocol import DEFAULT_MAX_ROUNDS, DEFAULT_ROUND_TIMEOUT
-from repro.util.validation import check_positive_int
-
-#: Sentinel distinguishing "not passed" from an explicit ``None`` in
-#: the deprecation shims.
-UNSET: Any = type("_Unset", (), {"__repr__": lambda self: "<unset>"})()
+from repro.util.validation import check_positive_int, check_range
 
 
 class DeliveryMode(str, enum.Enum):
@@ -145,8 +138,9 @@ class PrepRequest:
                 f"choose from {sorted(KNOWN_MEASURES)}"
             )
         check_positive_int(self.packet_size, "packet_size")
-        if self.gamma < 1.0:
-            raise ValueError(f"gamma must be >= 1, got {self.gamma}")
+        # N = γ·M ≤ 255 bounds γ; a non-finite or huge γ would overflow
+        # the packet count deep inside the cook.
+        check_range(self.gamma, 1.0, 255.0, "gamma")
         if self.backend is not None and not isinstance(self.backend, str):
             raise ValueError(
                 f"backend must be a kernel name or None, got {self.backend!r}"
@@ -233,7 +227,10 @@ class PrepRequest:
             value = fields_in["gamma"]
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ValueError(f"gamma must be a number, got {value!r}")
-            kwargs["gamma"] = float(value)
+            try:
+                kwargs["gamma"] = float(value)
+            except OverflowError:
+                raise ValueError("gamma must be within [1.0, 255.0]") from None
         if "backend" in fields_in:
             value = fields_in["backend"]
             if value is not None and not isinstance(value, str):
@@ -295,67 +292,3 @@ class TransferSettings:
     def replace(self, **changes: Any) -> "TransferSettings":
         return replace(self, **changes)
 
-
-def _merge_legacy(
-    target,
-    caller: str,
-    kind: str,
-    legacy: Dict[str, Any],
-):
-    supplied = {
-        name: value for name, value in legacy.items() if value is not UNSET
-    }
-    if not supplied:
-        return target
-    warnings.warn(
-        f"{caller}: keyword argument(s) {sorted(supplied)} are deprecated; "
-        f"pass {kind} instead",
-        DeprecationWarning,
-        stacklevel=4,
-    )
-    return replace(target, **supplied)
-
-
-def legacy_value(value: Any, default: Any) -> Any:
-    """Map a legacy keyword back to :data:`UNSET` when left at default.
-
-    Shimmed signatures keep their original defaults (introspection and
-    help text stay truthful), so "was it passed?" is approximated by
-    "does it differ from the default?" — callers explicitly passing
-    the default value lose nothing, since the settings object defaults
-    to the same value.
-    """
-    return UNSET if value is default or value == default else value
-
-
-def settings_from_legacy(
-    settings: Optional[TransferSettings],
-    caller: str,
-    **legacy: Any,
-) -> TransferSettings:
-    """Fold explicitly-passed legacy keywords into a settings object.
-
-    Values equal to :data:`UNSET` were not passed; anything else
-    triggers one :class:`DeprecationWarning` naming *caller* and is
-    merged over *settings* (or the defaults).
-    """
-    return _merge_legacy(
-        settings if settings is not None else TransferSettings(),
-        caller,
-        "settings=TransferSettings(...)",
-        legacy,
-    )
-
-
-def request_from_legacy(
-    request: Optional[PrepRequest],
-    caller: str,
-    **legacy: Any,
-) -> PrepRequest:
-    """:func:`settings_from_legacy`, but for :class:`PrepRequest`."""
-    return _merge_legacy(
-        request if request is not None else PrepRequest(),
-        caller,
-        "request=PrepRequest(...)",
-        legacy,
-    )

@@ -31,7 +31,7 @@ from repro.protocol.events import (
     Stalled,
     TERMINAL_EFFECTS,
 )
-from repro.protocol.faults import FaultInjector, FaultPlan
+from repro.protocol.faults import FaultInjector
 
 __all__ = [
     "DEFAULT_MAX_ROUNDS",
@@ -39,7 +39,6 @@ __all__ = [
     "TransferEngine",
     "TelemetryBridge",
     "FaultInjector",
-    "FaultPlan",
     "FrameDelivered",
     "FrameCorrupt",
     "FrameLost",

@@ -14,18 +14,11 @@ wires both to the broker.
 from __future__ import annotations
 
 import re
-from typing import Any, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.prep.request import (
-    PrepRequest,
-    TransferSettings,
-    legacy_value,
-    request_from_legacy,
-    settings_from_legacy,
-)
+from repro.prep.prepare import PreparedDocument
+from repro.prep.request import PrepRequest, TransferSettings
 from repro.protocol import (
-    DEFAULT_MAX_ROUNDS,
-    DEFAULT_ROUND_TIMEOUT,
     Decoded,
     EarlyStop,
     FrameCorrupt,
@@ -48,7 +41,6 @@ from repro.prototype.messages import (
 from repro.transport.cache import NullCache, PacketCache
 from repro.transport.channel import WirelessChannel
 from repro.transport.receiver import TransferReceiver
-from repro.transport.sender import PreparedDocument
 
 #: ``structure.py`` marks a section's heading unit by suffixing its
 #: label with ``(title)``; only that trailing marker is stripped.
@@ -126,26 +118,18 @@ class SequenceManager:
     """Broker-side driver of the §4.2 engine with incremental rendering.
 
     Protocol knobs come from ``settings``
-    (:class:`repro.prep.TransferSettings`); the individual
-    ``max_rounds`` / ``round_timeout`` keywords are deprecated shims
-    over it.
+    (:class:`repro.prep.TransferSettings`, defaults when ``None``).
     """
 
     def __init__(
         self,
         channel: WirelessChannel,
         cache: Optional[PacketCache] = None,
-        max_rounds: int = DEFAULT_MAX_ROUNDS,
-        round_timeout: float = DEFAULT_ROUND_TIMEOUT,
         *,
         settings: Optional[TransferSettings] = None,
     ) -> None:
-        settings = settings_from_legacy(
-            settings,
-            "SequenceManager",
-            max_rounds=legacy_value(max_rounds, DEFAULT_MAX_ROUNDS),
-            round_timeout=legacy_value(round_timeout, DEFAULT_ROUND_TIMEOUT),
-        )
+        if settings is None:
+            settings = TransferSettings()
         self.channel = channel
         if cache is None:
             cache = PacketCache() if settings.use_cache else NullCache()
@@ -296,9 +280,6 @@ class MobileBrowser:
     def browse(
         self,
         document_id: str,
-        query_text: Any = "",
-        lod_name: Any = "paragraph",
-        gamma: Any = 1.5,
         relevance_threshold: Optional[float] = None,
         *,
         request: Optional[PrepRequest] = None,
@@ -306,17 +287,11 @@ class MobileBrowser:
         """Fetch and incrementally render one document.
 
         *request* carries the preparation parameters
-        (:class:`repro.prep.PrepRequest`); the individual
-        ``query_text`` / ``lod_name`` / ``gamma`` positional keywords
-        are deprecated shims over it.
+        (:class:`repro.prep.PrepRequest`, defaults when ``None``);
+        *relevance_threshold* is the paper's F for this fetch,
+        overriding the browser's ``settings``.
         """
-        prep = request_from_legacy(
-            request,
-            "MobileBrowser.browse",
-            query=legacy_value(query_text, ""),
-            lod=legacy_value(lod_name, "paragraph"),
-            gamma=legacy_value(gamma, 1.5),
-        )
+        prep = request if request is not None else PrepRequest()
         fetch = FetchRequest(
             document_id=document_id,
             query_text=prep.query,

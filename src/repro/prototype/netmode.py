@@ -20,13 +20,13 @@ Used by ``repro net serve --via-broker`` and directly::
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 from repro.net.server import NetServer
-from repro.prep.request import PrepRequest, legacy_value, request_from_legacy
+from repro.prep.prepare import PreparedDocument
+from repro.prep.request import PrepRequest
 from repro.prototype.broker import BrokerError, ObjectRequestBroker
 from repro.prototype.messages import FetchRequest
-from repro.transport.sender import PreparedDocument
 
 
 class BrokerDocumentStore:
@@ -45,18 +45,9 @@ class BrokerDocumentStore:
         broker: ObjectRequestBroker,
         *,
         request: Optional[PrepRequest] = None,
-        query_text: Any = "",
-        lod_name: Any = "paragraph",
-        gamma: Any = 1.5,
     ) -> None:
         self.broker = broker
-        self.request = request_from_legacy(
-            request,
-            "BrokerDocumentStore",
-            query=legacy_value(query_text, ""),
-            lod=legacy_value(lod_name, "paragraph"),
-            gamma=legacy_value(gamma, 1.5),
-        )
+        self.request = request if request is not None else PrepRequest()
 
     def prepare(
         self, document_id: str, request: Optional[PrepRequest] = None
@@ -88,27 +79,17 @@ async def serve_broker(
     port: int = 0,
     *,
     request: Optional[PrepRequest] = None,
-    query_text: Any = "",
-    lod_name: Any = "paragraph",
-    gamma: Any = 1.5,
     **server_options,
 ) -> NetServer:
     """Start a :class:`NetServer` fronting *broker*'s transmitter.
 
     *request* sets the default preparation parameters for connections
-    that send no ``prep`` field (the ``query_text``/``lod_name``/
-    ``gamma`` keywords are deprecated shims over it).  Returns the
-    started server (read ``.port`` for the bound port); the caller
-    owns shutdown via ``await server.stop()``.  Extra keyword
-    arguments pass through to :class:`NetServer`.
+    that send no ``prep`` field.  Returns the started server (read
+    ``.port`` for the bound port); the caller owns shutdown via
+    ``await server.stop()``.  Extra keyword arguments pass through to
+    :class:`NetServer`.
     """
-    store = BrokerDocumentStore(
-        broker,
-        request=request,
-        query_text=query_text,
-        lod_name=lod_name,
-        gamma=gamma,
-    )
+    store = BrokerDocumentStore(broker, request=request)
     server = NetServer(store, host, port, **server_options)
     await server.start()
     return server

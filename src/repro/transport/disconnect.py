@@ -20,11 +20,11 @@ from __future__ import annotations
 
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
+from repro.prep.prepare import PreparedDocument
+from repro.prep.request import TransferSettings
 from repro.protocol import DEFAULT_MAX_ROUNDS
 from repro.transport.cache import PacketCache
 from repro.transport.channel import Delivery, WirelessChannel
-from repro.transport.sender import PreparedDocument
-from repro.prep.request import TransferSettings
 from repro.transport.session import TransferResult, transfer_document
 
 

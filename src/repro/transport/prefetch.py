@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Sequence
 
+from repro.prep.prepare import PreparedDocument
 from repro.transport.cache import PacketCache
 from repro.transport.channel import WirelessChannel
 from repro.transport.receiver import TransferReceiver
-from repro.transport.sender import PreparedDocument
 from repro.util.validation import check_positive
 
 

@@ -13,8 +13,8 @@ from typing import Dict, List, Optional, Set
 from repro.coding.packets import decode_frame
 from repro.obs.runtime import OBS
 from repro.obs.trace import FRAME_CORRUPT
+from repro.prep.prepare import PreparedDocument
 from repro.transport.channel import Delivery
-from repro.transport.sender import PreparedDocument
 
 
 class TransferReceiver:

@@ -6,7 +6,7 @@ import random
 
 from repro.channel import GilbertElliottModel, IIDModel
 from repro.coding.packets import Packetizer
-from repro.transport.sender import DocumentSender
+from repro.prep.prepare import DocumentSender
 
 
 def chaos_model(alpha, seed, *, drop=0.0, disconnect=0.0, burst_length=5.0):

@@ -1,6 +1,6 @@
 """Unit tests for the unified channel-model core (``repro.channel``).
 
-Covers the verdict vocabulary and counters, the i.i.d. model's legacy
+Covers the verdict vocabulary and counters, the i.i.d. model's fixed
 draw order, the single Gilbert–Elliott stationary-math implementation
 (50-seed matched-α property test), trace replay, the spec parser, and
 the recording wrapper the parity suite uses.
@@ -66,11 +66,11 @@ def test_transmission_time_prefers_model_bandwidth():
         plain.transmission_time(1200)
 
 
-# -- i.i.d. model: legacy draw order --------------------------------------
+# -- i.i.d. model: fixed draw order ---------------------------------------
 
 
-def _legacy_fault_plan_verdicts(seed, drop, corrupt, disconnect, outage, n):
-    """The pre-refactor FaultPlan draw discipline, replayed inline."""
+def _reference_iid_verdicts(seed, drop, corrupt, disconnect, outage, n):
+    """The fixed i.i.d. draw discipline, replayed inline."""
     rng = random.Random(seed)
     outage_left = 0
     verdicts = []
@@ -102,7 +102,7 @@ def test_iid_model_replays_the_legacy_draw_order(seed):
         disconnect=0.03,
         outage_events=4,
     )
-    expected = _legacy_fault_plan_verdicts(seed, 0.15, 0.25, 0.03, 4, 400)
+    expected = _reference_iid_verdicts(seed, 0.15, 0.25, 0.03, 4, 400)
     assert [model.decide() for _ in range(400)] == expected
 
 
@@ -358,36 +358,6 @@ def test_parse_spec_seed_matches_explicit_rng():
     a = parse_model_spec("iid:drop=0.3,corrupt=0.3", seed=11)
     b = parse_model_spec("iid:drop=0.3,corrupt=0.3", rng=random.Random(11))
     assert [a.decide() for _ in range(100)] == [b.decide() for _ in range(100)]
-
-
-# -- the legacy per-flag surface -------------------------------------------
-
-
-def test_legacy_chaos_spec_synthesizes_the_iid_form():
-    from repro.channel import legacy_chaos_spec
-
-    assert legacy_chaos_spec(drop=0.1) == "iid:drop=0.1"
-    assert (
-        legacy_chaos_spec(drop=0.1, corrupt=0.25, disconnect=0.002, outage=2)
-        == "iid:drop=0.1,corrupt=0.25,disconnect=0.002,outage=2"
-    )
-    assert legacy_chaos_spec() is None
-    assert legacy_chaos_spec(drop=0.0, corrupt=0.0) is None
-
-
-def test_legacy_chaos_spec_builds_byte_identical_models():
-    from repro.channel import legacy_chaos_spec
-
-    # The one shared translation point: a legacy flag set and the spec
-    # it synthesizes must produce identical seeded verdict streams.
-    spec = legacy_chaos_spec(drop=0.1, corrupt=0.25, disconnect=0.002)
-    forwarded = parse_model_spec(spec, seed=11)
-    direct = IIDModel(
-        rng=random.Random(11), drop=0.1, corrupt=0.25, disconnect=0.002
-    )
-    assert [forwarded.decide() for _ in range(300)] == [
-        direct.decide() for _ in range(300)
-    ]
 
 
 # -- the recording wrapper -------------------------------------------------

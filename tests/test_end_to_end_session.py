@@ -17,7 +17,10 @@ import random
 
 import pytest
 
+from repro.channel import GilbertElliottModel
 from repro.coding.packets import Packetizer
+from repro.prep.prepare import DocumentSender
+from repro.prep.request import PrepRequest
 from repro.prototype import (
     DatabaseGateway,
     DocumentTransmitterService,
@@ -26,10 +29,14 @@ from repro.prototype import (
     SearchService,
 )
 from repro.simulation.textgen import CorpusGenerator
-from repro.transport import PacketCache, Prefetcher, PrefetchCandidate, WirelessChannel
+from repro.transport import (
+    ModelChannel,
+    PacketCache,
+    Prefetcher,
+    PrefetchCandidate,
+    WirelessChannel,
+)
 from repro.transport.disconnect import OutageChannel, resumable_transfer
-from repro.transport.gilbert import matched_to_alpha
-from repro.transport.sender import DocumentSender
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +57,10 @@ def stack():
 def test_full_session(stack):
     generator, corpus, gateway, broker = stack
     cache = PacketCache(capacity_bytes=1 << 22)
-    channel = matched_to_alpha(0.2, burst_length=6.0, rng=random.Random(99))
+    rng = random.Random(99)
+    channel = ModelChannel(
+        GilbertElliottModel.matched_to_alpha(0.2, burst_length=6.0, rng=rng), rng=rng
+    )
     browser = MobileBrowser(broker, channel, cache=cache)
     query = generator.topic_query(1)
 
@@ -75,7 +85,7 @@ def test_full_session(stack):
     # 3. Browse the top hit with query-ordered transmission.
     top = results[0]
     outcome = browser.browse(
-        top.document_id, query_text=query, lod_name="paragraph", gamma=2.0
+        top.document_id, request=PrepRequest(query=query, lod="paragraph", gamma=2.0)
     )
     assert outcome.success
     assert outcome.rendered, "incremental rendering must have fired"
@@ -85,7 +95,7 @@ def test_full_session(stack):
     # 4. A low-ranked document is abandoned once content 0.3 arrives.
     any_other = next(doc_id for doc_id in corpus if doc_id != top.document_id)
     abandoned = browser.browse(
-        any_other, query_text=query, relevance_threshold=0.3, gamma=1.5
+        any_other, request=PrepRequest(query=query, gamma=1.5), relevance_threshold=0.3
     )
     assert abandoned.terminated_early
     assert abandoned.response_time < outcome.response_time
@@ -114,7 +124,9 @@ def test_session_budget_accounting(stack):
     browser = MobileBrowser(broker, channel, cache=PacketCache())
     query = generator.topic_query(0)
     results = browser.search(query, limit=1)
-    outcome = browser.browse(results[0].document_id, query_text=query, gamma=1.5)
+    outcome = browser.browse(
+        results[0].document_id, request=PrepRequest(query=query, gamma=1.5)
+    )
     assert outcome.success
     assert channel.clock == pytest.approx(outcome.response_time)
     assert channel.frames_sent > 0

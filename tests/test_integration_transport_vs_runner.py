@@ -27,13 +27,14 @@ from typing import List
 import pytest
 
 from repro.coding.packets import Packetizer
+from repro.prep.prepare import DocumentSender
+from repro.prep.request import TransferSettings
 from repro.protocol import FrameCorrupt, FrameDelivered, RoundEnded, TransferEngine
 from repro.simulation.parallel import SessionTask, map_session_means
 from repro.simulation.parameters import Parameters
 from repro.simulation.runner import simulate_transfer
 from repro.transport.cache import PacketCache
 from repro.transport.channel import WirelessChannel
-from repro.transport.sender import DocumentSender
 from repro.transport.session import transfer_document
 
 GOLDENS_PATH = Path(__file__).resolve().parent / "data" / "protocol_goldens.json"
@@ -89,8 +90,10 @@ def run_both(script, document_size=2048, gamma=1.5, caching=True,
     channel = ScriptedChannel(script)
     cache = PacketCache() if caching else None
     byte_level = transfer_document(
-        prepared, channel, cache=cache,
-        relevance_threshold=threshold, max_rounds=max_rounds,
+        prepared,
+        channel,
+        cache=cache,
+        settings=TransferSettings(relevance_threshold=threshold, max_rounds=max_rounds),
     )
 
     oracle = simulate_transfer(
@@ -242,8 +245,10 @@ class TestGoldenTransportReplay:
                 prepared,
                 channel,
                 cache=cache,
-                relevance_threshold=case["threshold"],
-                max_rounds=goldens["max_rounds"],
+                settings=TransferSettings(
+                    relevance_threshold=case["threshold"],
+                    max_rounds=goldens["max_rounds"],
+                ),
             )
             label = _case_id(case, ("alpha", "caching", "threshold", "seed"))
             assert result.success == case["success"], label

@@ -19,6 +19,7 @@ import random
 import pytest
 
 from repro.broadcast import CarouselScheduler
+from repro.channel import IIDModel
 from repro.coding.packets import Packetizer
 from repro.net import ChaosProxy, DocumentStore, NetClient, NetServer, WireError
 from repro.net.loadgen import run_loadgen
@@ -119,8 +120,7 @@ class TestCarouselFetch:
                 async with ChaosProxy(
                     server.host,
                     server.port,
-                    rng=random.Random(17),
-                    corrupt=0.2,
+                    model=IIDModel(rng=random.Random(17), corrupt=0.2),
                 ) as proxy:
                     client = NetClient(proxy.host, proxy.port)
                     result = await client.fetch("doc", request=CAROUSEL)

@@ -10,6 +10,7 @@ import asyncio
 import pytest
 
 from repro.net import ChaosProxy, DocumentStore, NetServer, run_loadgen
+from repro.prep.request import TransferSettings
 
 from tests.netutil import assert_no_leaked_tasks, chaos_model, make_prepared
 
@@ -60,7 +61,11 @@ def test_loadgen_counts_unreachable_server_as_failed():
         port = server.port
         await server.stop()
         report, results = await run_loadgen(
-            "127.0.0.1", port, "doc", clients=3, max_reconnects=0
+            "127.0.0.1",
+            port,
+            "doc",
+            clients=3,
+            settings=TransferSettings(max_reconnects=0),
         )
         assert report.failed == 3
         assert report.succeeded == 0

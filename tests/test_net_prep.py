@@ -17,6 +17,13 @@ import pytest
 import repro.obs as obs
 from repro.data import draft_paper_path
 from repro.net import NetClient, NetServer, WireError, run_loadgen
+from repro.net.wire import (
+    MSG_ERROR,
+    MSG_HELLO,
+    decode_json,
+    encode_json,
+    read_message,
+)
 from repro.prep import PrepRequest, PreparationService
 
 from tests.netutil import assert_no_leaked_tasks
@@ -172,6 +179,50 @@ class TestUncookablePage:
         assert loop_errors == []
         outcomes = obs.OBS.metrics.get("net.connections")
         assert outcomes.labels(outcome="prep_error").value == 1
+
+
+class TestOutOfRangeGamma:
+    @pytest.mark.parametrize(
+        "gamma", [float("inf"), 1e308, float("nan")], ids=["inf", "1e308", "nan"]
+    )
+    def test_bad_gamma_is_one_bad_request(self, telemetry, gamma):
+        """A γ no code can realise (N ≤ 255) is refused before any cook:
+        one typed error on one connection, nothing for the loop handler."""
+        service, pipeline = make_store()
+
+        async def go():
+            loop_errors = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: loop_errors.append(context)
+            )
+            async with NetServer(service) as server:
+                reader, writer = await asyncio.open_connection(
+                    server.host, server.port
+                )
+                # json.dumps writes Infinity/NaN and json.loads reads
+                # them back, so a peer can put them on the wire.
+                hello = {"doc": "doc", "have": [], "prep": {"gamma": gamma}}
+                writer.write(encode_json(MSG_HELLO, hello))
+                await writer.drain()
+                msg_type, body = await asyncio.wait_for(read_message(reader), 5.0)
+                writer.close()
+                await writer.wait_closed()
+            stats = dict(server.stats)
+            gc.collect()  # surface any never-retrieved task exception
+            await asyncio.sleep(0)
+            await assert_no_leaked_tasks()
+            return msg_type, decode_json(body), stats, loop_errors
+
+        msg_type, fields, stats, loop_errors = asyncio.run(go())
+        assert msg_type == MSG_ERROR
+        assert "gamma" in fields["message"]
+        assert stats["connections"] == 1
+        assert stats["errors"] == 1
+        assert loop_errors == []
+        assert service.stats["cooked_misses"] == 0
+        assert pipeline.runs == 0
+        outcomes = obs.OBS.metrics.get("net.connections")
+        assert outcomes.labels(outcome="bad_request").value == 1
 
 
 class TestCrossWorkerParity:

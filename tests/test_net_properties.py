@@ -19,6 +19,7 @@ import random
 import pytest
 
 from repro import obs
+from repro.channel import IIDModel
 from repro.net import ChaosProxy, DocumentStore, NetClient, NetServer
 from repro.obs.trace import (
     NET_CONN_CLOSE,
@@ -28,6 +29,7 @@ from repro.obs.trace import (
     TRANSFER_START,
     load_jsonl,
 )
+from repro.prep.request import TransferSettings
 from repro.transport.cache import PacketCache
 
 from tests.netutil import assert_no_leaked_tasks, make_prepared
@@ -78,17 +80,19 @@ def test_chaos_sweep(case):
             async with ChaosProxy(
                 server.host,
                 server.port,
-                rng=random.Random(case["seed"]),
-                drop=case["drop"],
-                corrupt=case["corrupt"],
-                disconnect=case["disconnect"],
+                model=IIDModel(
+                    rng=random.Random(case["seed"]),
+                    drop=case["drop"],
+                    corrupt=case["corrupt"],
+                    disconnect=case["disconnect"],
+                ),
                 max_disconnects=3,
             ) as proxy:
                 client = NetClient(
                     proxy.host,
                     proxy.port,
                     cache=PacketCache(),
-                    max_reconnects=max_reconnects,
+                    settings=TransferSettings(max_reconnects=max_reconnects),
                     reconnect_delay=0.01,
                 )
                 result = await client.fetch("doc")

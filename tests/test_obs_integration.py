@@ -18,10 +18,11 @@ from repro.coding.packets import Packetizer
 from repro.data import draft_paper_path
 from repro.obs import trace as tr
 from repro.obs.summary import build_timelines
+from repro.prep.prepare import DocumentSender
+from repro.prep.request import TransferSettings
 from repro.simulation.runner import simulate_transfer
 from repro.transport.cache import PacketCache
 from repro.transport.channel import WirelessChannel
-from repro.transport.sender import DocumentSender
 from repro.transport.session import transfer_document
 
 DRAFT = str(draft_paper_path())
@@ -107,7 +108,9 @@ class TestLibraryTransfers:
         prepared = _prepare()
         channel = WirelessChannel(alpha=0.0, rng=random.Random(1))
         obs.enable()
-        result = transfer_document(prepared, channel, relevance_threshold=0.2)
+        result = transfer_document(
+            prepared, channel, settings=TransferSettings(relevance_threshold=0.2)
+        )
         assert result.terminated_early
         events = [e.event for e in obs.OBS.trace.events]
         assert events.count(tr.EARLY_STOP) == 1
@@ -117,7 +120,9 @@ class TestLibraryTransfers:
         prepared = _prepare(gamma=1.0)
         channel = WirelessChannel(alpha=0.9, rng=random.Random(2))
         obs.enable()
-        result = transfer_document(prepared, channel, max_rounds=3)
+        result = transfer_document(
+            prepared, channel, settings=TransferSettings(max_rounds=3)
+        )
         assert not result.success
         events = [e.event for e in obs.OBS.trace.events]
         assert events.count(tr.ROUND_START) == 3
@@ -129,7 +134,9 @@ class TestLibraryTransfers:
         cache = PacketCache()
         channel = WirelessChannel(alpha=0.4, rng=random.Random(3))
         obs.enable()
-        result = transfer_document(prepared, channel, cache=cache, max_rounds=50)
+        result = transfer_document(
+            prepared, channel, cache=cache, settings=TransferSettings(max_rounds=50)
+        )
         assert result.success
         if result.rounds > 1:  # a stall happened: cached packets reloaded
             events = [e.event for e in obs.OBS.trace.events]

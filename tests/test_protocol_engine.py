@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro import obs
+from repro.channel import IIDModel
 from repro.obs import trace as tr
 from repro.protocol import (
     DEFAULT_MAX_ROUNDS,
@@ -310,44 +311,46 @@ class TestTelemetrySingleEmission:
 
 class TestFaultInjector:
     def test_validation(self):
-        engine = TransferEngine(2, 3)
         with pytest.raises(ValueError):
-            FaultInjector(engine, drop=1.5)
+            IIDModel(drop=1.5)
         with pytest.raises(ValueError):
-            FaultInjector(engine, outage_events=-1)
+            IIDModel(outage_events=-1)
 
     def test_drop_converts_delivery_to_loss(self):
         engine = TransferEngine(2, 3)
-        faulty = FaultInjector(engine, rng=random.Random(0), drop=1.0)
+        faulty = FaultInjector(engine, IIDModel(rng=random.Random(0), drop=1.0))
         faulty.begin()
         assert faulty.handle(FrameDelivered(0)) == ()
         assert engine.intact_count == 0
         assert engine.lost_seen == 1
-        assert faulty.dropped == 1
+        assert faulty.model.dropped == 1
 
     def test_corrupt_converts_delivery_to_crc_failure(self):
         engine = TransferEngine(2, 3)
-        faulty = FaultInjector(engine, rng=random.Random(0), corrupt=1.0)
+        faulty = FaultInjector(engine, IIDModel(rng=random.Random(0), corrupt=1.0))
         faulty.begin()
         faulty.handle(FrameDelivered(0))
         assert engine.corrupted_seen == 1
-        assert faulty.corrupted == 1
+        assert faulty.model.corrupted == 1
 
     def test_disconnect_opens_outage_window(self):
         engine = TransferEngine(2, 6)
-        faulty = FaultInjector(
-            engine, rng=random.Random(0), disconnect=1.0, outage_events=3
-        )
+        model = IIDModel(rng=random.Random(0), disconnect=1.0, outage_events=3)
+        faulty = FaultInjector(engine, model)
         faulty.begin()
         for seq in range(3):
             faulty.handle(FrameDelivered(seq))
-        assert faulty.outages == 1
-        assert faulty.dropped == 3
+        # One window: its opening frame is the disconnect, the rest drops;
+        # at the event level all three became FrameLost.
+        assert model.counters() == {
+            "frames": 3, "passed": 0, "dropped": 2, "corrupted": 0, "disconnects": 1,
+        }
+        assert engine.lost_seen == 3
         assert engine.intact_count == 0
 
     def test_round_ended_passes_through(self):
         engine = TransferEngine(2, 3)
-        faulty = FaultInjector(engine, rng=random.Random(0), drop=1.0)
+        faulty = FaultInjector(engine, IIDModel(rng=random.Random(0), drop=1.0))
         faulty.begin()
         effects = faulty.handle(RoundEnded())
         assert effects == (Stalled(round=1, intact=0), SendRound(2))
@@ -355,10 +358,11 @@ class TestFaultInjector:
     def test_seeded_schedule_is_deterministic(self):
         def run(seed):
             engine = TransferEngine(4, 8, max_rounds=20)
-            faulty = FaultInjector(
-                engine, rng=random.Random(seed), drop=0.3, corrupt=0.2,
+            model = IIDModel(
+                rng=random.Random(seed), drop=0.3, corrupt=0.2,
                 disconnect=0.05, outage_events=4,
             )
+            faulty = FaultInjector(engine, model)
             faulty.begin()
             while engine.finished is None:
                 for seq in range(8):
@@ -367,7 +371,7 @@ class TestFaultInjector:
                         break
                 else:
                     faulty.handle(RoundEnded())
-            return engine.finished, faulty.dropped, faulty.corrupted, faulty.outages
+            return engine.finished, model.counters()
 
         assert run(7) == run(7)
         assert run(7) != run(8)
@@ -383,7 +387,7 @@ class TestFaultInjector:
 
         rng = CountingRandom(3)
         engine = TransferEngine(2, 3)
-        faulty = FaultInjector(engine, rng=rng, drop=0.5)
+        faulty = FaultInjector(engine, IIDModel(rng=rng, drop=0.5))
         faulty.begin()
         faulty.handle(RoundEnded())
         assert CountingRandom.calls == 0  # RoundEnded costs no draw
@@ -395,14 +399,16 @@ class TestDefaultMaxRounds:
     def test_one_constant_everywhere(self):
         import inspect
 
+        from repro.prep.request import TransferSettings
         from repro.prototype.client import SequenceManager
         from repro.transport.arq import selective_repeat, stop_and_wait
         from repro.transport.session import transfer_document
 
         assert DEFAULT_MAX_ROUNDS == 100
-        sig = inspect.signature(transfer_document)
-        assert sig.parameters["max_rounds"].default == DEFAULT_MAX_ROUNDS
-        sig = inspect.signature(SequenceManager.__init__)
+        # transfer_document and SequenceManager take it via settings=.
+        for driver in (transfer_document, SequenceManager.__init__):
+            assert inspect.signature(driver).parameters["settings"].default is None
+        sig = inspect.signature(TransferSettings)
         assert sig.parameters["max_rounds"].default == DEFAULT_MAX_ROUNDS
         sig = inspect.signature(selective_repeat)
         assert sig.parameters["max_rounds"].default == DEFAULT_MAX_ROUNDS

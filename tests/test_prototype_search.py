@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.prep.request import PrepRequest
 from repro.prototype import (
     DatabaseGateway,
     DocumentTransmitterService,
@@ -92,7 +93,7 @@ class TestSearchThenBrowse:
         assert results
         top = results[0]
         outcome = browser.browse(
-            top.document_id, query_text="mobile web browsing", gamma=2.0
+            top.document_id, request=PrepRequest(query="mobile web browsing", gamma=2.0)
         )
         assert outcome.success
         assert "browsing" in outcome.document_text.lower()

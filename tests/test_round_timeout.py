@@ -12,6 +12,8 @@ import random
 import pytest
 
 import repro
+from repro.prep.prepare import DocumentSender
+from repro.prep.request import TransferSettings
 from repro.protocol import (
     DEFAULT_ROUND_TIMEOUT,
     Failed,
@@ -20,7 +22,6 @@ from repro.protocol import (
 from repro.protocol.engine import DEFAULT_ROUND_TIMEOUT as ENGINE_CONSTANT
 from repro.simulation.runner import simulate_transfer
 from repro.transport.channel import WirelessChannel
-from repro.transport.sender import DocumentSender
 from repro.transport.session import transfer_document
 from repro.coding.packets import Packetizer
 
@@ -28,6 +29,16 @@ from repro.coding.packets import Packetizer
 def prepared_doc(payload=b"x" * 1024, packet_size=64, gamma=1.5):
     sender = DocumentSender(Packetizer(packet_size=packet_size, redundancy_ratio=gamma))
     return sender.prepare_raw("doc", payload)
+
+
+def default_of(func, parameter):
+    """*func*'s default for *parameter*, read off ``TransferSettings``
+    when the knob rides in its ``settings=`` argument."""
+    parameters = inspect.signature(func).parameters
+    if parameter in parameters:
+        return parameters[parameter].default
+    assert parameters["settings"].default is None
+    return inspect.signature(TransferSettings).parameters[parameter].default
 
 
 class TestConstant:
@@ -49,8 +60,7 @@ class TestConstant:
         ],
     )
     def test_driver_defaults(self, func, parameter):
-        signature = inspect.signature(func)
-        assert signature.parameters[parameter].default is DEFAULT_ROUND_TIMEOUT
+        assert default_of(func, parameter) is DEFAULT_ROUND_TIMEOUT
 
     def test_prototype_and_net_defaults(self):
         from repro.net.client import NetClient
@@ -58,22 +68,21 @@ class TestConstant:
         from repro.prototype.client import SequenceManager
 
         for cls in (NetClient, NetServer, SequenceManager):
-            signature = inspect.signature(cls.__init__)
-            assert (
-                signature.parameters["round_timeout"].default
-                is DEFAULT_ROUND_TIMEOUT
-            ), cls
+            default = default_of(cls.__init__, "round_timeout")
+            assert default is DEFAULT_ROUND_TIMEOUT, cls
 
     def test_non_positive_timeout_rejected(self):
         prepared = prepared_doc()
         channel = WirelessChannel(alpha=0.0, rng=random.Random(0))
         with pytest.raises(ValueError):
-            transfer_document(prepared, channel, round_timeout=0.0)
+            transfer_document(
+                prepared, channel, settings=TransferSettings(round_timeout=0.0)
+            )
         from repro.net.client import NetClient
         from repro.net.server import NetServer
 
         with pytest.raises(ValueError):
-            NetClient("127.0.0.1", 1, round_timeout=-1.0)
+            NetClient("127.0.0.1", 1, settings=TransferSettings(round_timeout=-1.0))
         with pytest.raises(ValueError):
             NetServer(object(), round_timeout=0.0)
 
@@ -127,7 +136,9 @@ class TestSessionTimeout:
         prepared = prepared_doc()
         channel = WirelessChannel(alpha=1.0, rng=random.Random(7))
         result = transfer_document(
-            prepared, channel, max_rounds=50, round_timeout=1e-6
+            prepared,
+            channel,
+            settings=TransferSettings(max_rounds=50, round_timeout=1e-6),
         )
         assert not result.success
         assert result.rounds == 1

@@ -5,9 +5,9 @@ import random
 import pytest
 
 from repro.coding.packets import Packetizer, encode_frame
+from repro.prep.prepare import DocumentSender
 from repro.transport.channel import Delivery, WirelessChannel
 from repro.transport.receiver import TransferReceiver
-from repro.transport.sender import DocumentSender
 
 DOCUMENT = bytes(range(256)) * 8  # 2048 bytes
 

@@ -5,9 +5,10 @@ import random
 import pytest
 
 from repro.coding.packets import Packetizer
+from repro.prep.prepare import DocumentSender
+from repro.prep.request import TransferSettings
 from repro.transport.cache import PacketCache
 from repro.transport.channel import WirelessChannel
-from repro.transport.sender import DocumentSender
 from repro.transport.session import transfer_document
 
 DOCUMENT = bytes(range(256)) * 20  # 5120 bytes
@@ -50,11 +51,17 @@ class TestLossyChannel:
         prepared = prepare(gamma=1.2)
         nocache_channel = WirelessChannel(alpha=0.4, rng=random.Random(2))
         nocache = transfer_document(
-            prepared, nocache_channel, cache=None, max_rounds=300
+            prepared,
+            nocache_channel,
+            cache=None,
+            settings=TransferSettings(max_rounds=300),
         )
         cache_channel = WirelessChannel(alpha=0.4, rng=random.Random(2))
         cached = transfer_document(
-            prepared, cache_channel, cache=PacketCache(), max_rounds=300
+            prepared,
+            cache_channel,
+            cache=PacketCache(),
+            settings=TransferSettings(max_rounds=300),
         )
         assert cached.success
         assert cached.response_time < nocache.response_time
@@ -63,7 +70,9 @@ class TestLossyChannel:
     def test_max_rounds_gives_up(self):
         prepared = prepare(gamma=1.0)  # no redundancy at all
         channel = WirelessChannel(alpha=0.9, rng=random.Random(3))
-        result = transfer_document(prepared, channel, max_rounds=3)
+        result = transfer_document(
+            prepared, channel, settings=TransferSettings(max_rounds=3)
+        )
         assert not result.success
         assert result.rounds == 3
         assert result.payload is None
@@ -73,7 +82,9 @@ class TestEarlyTermination:
     def test_relevance_threshold_stops_early(self):
         prepared = prepare()
         channel = WirelessChannel(alpha=0.0, rng=random.Random(0))
-        result = transfer_document(prepared, channel, relevance_threshold=0.25)
+        result = transfer_document(
+            prepared, channel, settings=TransferSettings(relevance_threshold=0.25)
+        )
         assert result.success
         assert result.terminated_early
         assert result.payload is None
@@ -83,7 +94,9 @@ class TestEarlyTermination:
     def test_threshold_zero_sends_nothing(self):
         prepared = prepare()
         channel = WirelessChannel(alpha=0.0, rng=random.Random(0))
-        result = transfer_document(prepared, channel, relevance_threshold=0.0)
+        result = transfer_document(
+            prepared, channel, settings=TransferSettings(relevance_threshold=0.0)
+        )
         assert result.terminated_early
         assert result.frames_sent == 0
         assert result.response_time == 0.0
@@ -91,7 +104,9 @@ class TestEarlyTermination:
     def test_threshold_one_downloads_fully(self):
         prepared = prepare()
         channel = WirelessChannel(alpha=0.0, rng=random.Random(0))
-        result = transfer_document(prepared, channel, relevance_threshold=1.0)
+        result = transfer_document(
+            prepared, channel, settings=TransferSettings(relevance_threshold=1.0)
+        )
         assert result.success
         # Reaching content 1.0 needs all M clear packets — equivalent
         # to reconstruction.
@@ -105,7 +120,12 @@ class TestCachePersistence:
         prepared = prepare(gamma=1.0)
         cache = PacketCache()
         first_channel = WirelessChannel(alpha=0.5, rng=random.Random(4))
-        first = transfer_document(prepared, first_channel, cache=cache, max_rounds=2)
+        first = transfer_document(
+            prepared,
+            first_channel,
+            cache=cache,
+            settings=TransferSettings(max_rounds=2),
+        )
         assert not first.success
         assert cache.packet_count("doc") > 0
 
@@ -136,4 +156,6 @@ class TestCachePersistence:
         prepared = prepare()
         channel = WirelessChannel(alpha=0.0)
         with pytest.raises(ValueError):
-            transfer_document(prepared, channel, max_rounds=0)
+            transfer_document(
+                prepared, channel, settings=TransferSettings(max_rounds=0)
+            )
